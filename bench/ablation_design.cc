@@ -31,6 +31,7 @@ main(int argc, char **argv)
     args.parse(argc, argv);
     setInformEnabled(false);
     const double rps = args.cfg.getDouble("rps", 15000.0);
+    args.cfg.rejectUnread();
 
     banner("Design ablations",
            "one-knob-at-a-time effects on P99 at 15K RPS");

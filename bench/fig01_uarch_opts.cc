@@ -103,6 +103,7 @@ main(int argc, char **argv)
     args.parse(argc, argv);
     const std::size_t n = static_cast<std::size_t>(
         args.cfg.getInt("trace_len", 2000000));
+    args.cfg.rejectUnread();
 
     bench::banner("Fig 1", "uarch optimizations: monolithic vs "
                            "microservice speedups");

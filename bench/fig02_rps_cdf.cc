@@ -20,6 +20,7 @@ main(int argc, char **argv)
     args.parse(argc, argv);
     const std::uint32_t seconds = static_cast<std::uint32_t>(
         args.cfg.getInt("seconds", 4000));
+    args.cfg.rejectUnread();
 
     bench::banner("Fig 2", "CDF of per-server request rate (RPS)");
 

@@ -28,6 +28,7 @@ main(int argc, char **argv)
     args.parse(argc, argv);
     setInformEnabled(false);
     const double rps = args.cfg.getDouble("rps", 50000.0);
+    args.cfg.rejectUnread();
 
     banner("Fig 3", "response time vs number of queues "
                     "(1024-core ScaleOut, 50K RPS)");

@@ -17,6 +17,7 @@ main(int argc, char **argv)
     bench::BenchArgs args;
     args.parse(argc, argv);
     const std::int64_t n = args.cfg.getInt("samples", 500000);
+    args.cfg.rejectUnread();
 
     bench::banner("Fig 4", "CDF of CPU utilization per request");
 

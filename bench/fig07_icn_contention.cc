@@ -45,6 +45,7 @@ main(int argc, char **argv)
 {
     BenchArgs args;
     args.parse(argc, argv);
+    args.cfg.rejectUnread();
     setInformEnabled(false);
 
     banner("Fig 7", "tail inflation from ICN contention: "

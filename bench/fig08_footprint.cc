@@ -22,6 +22,7 @@ main(int argc, char **argv)
         args.cfg.getInt("instances", 32));
     const int handlers = static_cast<int>(
         args.cfg.getInt("handlers", 16));
+    args.cfg.rejectUnread();
 
     bench::banner("Fig 8", "handler-handler and handler-init "
                            "footprint sharing");

@@ -24,6 +24,7 @@ main(int argc, char **argv)
         args.cfg.getInt("requests", 300));
     const int accesses_per_req = static_cast<int>(
         args.cfg.getInt("accesses", 20000));
+    args.cfg.rejectUnread();
 
     bench::banner("Fig 9", "L1/L2 TLB and cache hit rates "
                            "(data / instructions)");

@@ -22,6 +22,7 @@ main(int argc, char **argv)
 {
     BenchArgs args;
     args.parse(argc, argv);
+    args.cfg.rejectUnread();
     setInformEnabled(false);
 
     banner("Figs 14/16/17",

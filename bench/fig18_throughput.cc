@@ -39,6 +39,12 @@ main(int argc, char **argv)
     search.servers = static_cast<std::uint32_t>(
         args.cfg.getInt("servers", 4));
     search.measure = fromMs(args.cfg.getDouble("measure_ms", 150.0));
+    QosSearchConfig qcfg;
+    qcfg.loRps = args.cfg.getDouble("lo_rps", 2000.0);
+    qcfg.hiRps = args.cfg.getDouble("hi_rps", 400000.0);
+    qcfg.iterations =
+        static_cast<std::uint32_t>(args.cfg.getInt("iters", 8));
+    args.cfg.rejectUnread();
 
     // Each machine's whole binary search is one sweep point: the
     // iterations inside a search are sequential (each depends on the
@@ -52,11 +58,6 @@ main(int argc, char **argv)
             ExperimentConfig base =
                 evalConfig(mp, 0.0, search, ArrivalKind::Bursty);
             base.obs = obsForPoint(args.obs, i, machines.size());
-            QosSearchConfig qcfg;
-            qcfg.loRps = args.cfg.getDouble("lo_rps", 2000.0);
-            qcfg.hiRps = args.cfg.getDouble("hi_rps", 400000.0);
-            qcfg.iterations = static_cast<std::uint32_t>(
-                args.cfg.getInt("iters", 8));
             const QosResult r =
                 findMaxQosThroughput(catalog, base, qcfg);
             std::fprintf(stderr, "  -> %.0f RPS/server (viol %.3f)\n",

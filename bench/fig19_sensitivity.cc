@@ -22,6 +22,7 @@ main(int argc, char **argv)
     args.parse(argc, argv);
     setInformEnabled(false);
     const double rps = args.cfg.getDouble("rps", 15000.0);
+    args.cfg.rejectUnread();
 
     banner("Fig 19", "uManycore topology sensitivity at 15K RPS");
 

@@ -22,6 +22,7 @@ main(int argc, char **argv)
 {
     BenchArgs args;
     args.parse(argc, argv);
+    args.cfg.rejectUnread();
     setInformEnabled(false);
 
     banner("Fig 20", "synthetic service-time distributions");

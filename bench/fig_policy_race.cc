@@ -127,6 +127,7 @@ main(int argc, char **argv)
     const double hetero = args.cfg.getDouble("hetero", 0.25);
     if (hetero < 0.0 || hetero > 1.0)
         fatal("hetero must be in [0, 1] (got %g)", hetero);
+    args.cfg.rejectUnread();
 
     banner("Fig policy-race",
            "dispatch policies raced under the attribution ledger");

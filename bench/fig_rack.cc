@@ -159,6 +159,7 @@ main(int argc, char **argv)
     const std::uint32_t streams = static_cast<std::uint32_t>(
         args.cfg.getInt("streams", 0));
     const bool het = args.cfg.getBool("het", false);
+    args.cfg.rejectUnread();
 
     banner("Fig rack",
            "multi-package rack: scale, replica policy, failover");

@@ -70,6 +70,7 @@ main(int argc, char **argv)
         failureCounts(static_cast<std::uint32_t>(
             args.cfg.getInt("max_failures", 8)));
     const double rps = args.cfg.getDouble("rps", 5000.0);
+    args.cfg.rejectUnread();
 
     const std::size_t npoints = machines.size() * counts.size();
     SweepRunner runner(args.jobs);

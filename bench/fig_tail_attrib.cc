@@ -60,6 +60,7 @@ main(int argc, char **argv)
     const double rps = args.cfg.getDouble("rps", 12000.0);
     const double slow_factor =
         args.cfg.getDouble("slow_factor", 8.0);
+    args.cfg.rejectUnread();
 
     banner("Fig tail-attrib",
            "tail-latency attribution and bottleneck localisation");

@@ -132,11 +132,13 @@ main(int argc, char **argv)
                      threshold);
         return 2;
     }
-    if (cfg.getBool("self_test", false))
-        return selfTest(threshold);
-
+    const bool self_test = cfg.getBool("self_test", false);
     const std::string basePath = cfg.getString("baseline", "");
     const std::string curPath = cfg.getString("current", "");
+    cfg.rejectUnread();
+    if (self_test)
+        return selfTest(threshold);
+
     if (basePath.empty() || curPath.empty()) {
         std::fprintf(stderr,
                      "usage: perf_trend --baseline=PATH "

@@ -92,6 +92,7 @@ main(int argc, char **argv)
         cfg.getInt("seed", 0x5eedll));
     base.machine.dispatch.kind =
         parseDispatchKind(cfg.getString("dispatch", "rr"));
+    cfg.rejectUnread();
 
     const ServiceCatalog catalog = buildSocialNetwork();
     int failures = 0;

@@ -19,6 +19,7 @@ main(int argc, char **argv)
 {
     BenchArgs args;
     args.parse(argc, argv);
+    args.cfg.rejectUnread();
     setInformEnabled(false);
 
     banner("Sec 6.8", "iso-area ServerClass (128 cores) comparison");

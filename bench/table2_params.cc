@@ -19,6 +19,7 @@ main(int argc, char **argv)
 {
     BenchArgs args;
     args.parse(argc, argv);
+    args.cfg.rejectUnread();
     banner("Table 2", "architectural parameters and derived sizing");
 
     auto row = [](const MachineParams &p) {

@@ -90,6 +90,8 @@ main(int argc, char **argv)
         cfg.getString("app", "social") == "media"
             ? buildMediaService()
             : buildSocialNetwork();
+    const bool printDump = cfg.getBool("dump", false);
+    cfg.rejectUnread();
 
     std::printf("machine=%s servers=%u rps/server=%.0f\n",
                 exp.machine.name.c_str(), exp.cluster.numServers,
@@ -125,7 +127,7 @@ main(int argc, char **argv)
                 100.0 * m.meanLinkUtilization,
                 100.0 * m.maxLinkUtilization,
                 static_cast<unsigned long long>(m.icnMessages));
-    if (cfg.getBool("dump", false))
+    if (printDump)
         std::printf("\n---- stats dump ----\n%s", dump.format().c_str());
     if (!exp.obs.traceOut.empty()) {
         std::printf("trace written to %s (load it at "

@@ -28,6 +28,7 @@ main(int argc, char **argv)
     pp.capacityBytes = static_cast<std::uint64_t>(
                            cfg.getInt("pool_mb", 64)) *
                        1024 * 1024;
+    cfg.rejectUnread();
     MemoryPool pool(pp);
     SnapshotBootModel boot;
     const ServiceCatalog catalog = buildSocialNetwork();

@@ -25,6 +25,9 @@ main(int argc, char **argv)
     const double rps = cfg.getDouble("rps", 15000.0);
     const std::uint32_t servers =
         static_cast<std::uint32_t>(cfg.getInt("servers", 4));
+    const std::uint64_t seed =
+        static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    cfg.rejectUnread();
 
     const ServiceCatalog catalog = buildSocialNetwork();
 
@@ -43,7 +46,7 @@ main(int argc, char **argv)
         exp.cluster.numServers = servers;
         exp.rpsPerServer = rps;
         exp.arrivals = ArrivalKind::Bursty;
-        exp.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+        exp.seed = seed;
         names.push_back(name);
         runs.push_back(runExperiment(catalog, exp));
     }

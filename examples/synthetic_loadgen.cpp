@@ -50,6 +50,9 @@ main(int argc, char **argv)
     const ServiceCatalog catalog = buildSynthetic(sp);
     const int points = static_cast<int>(cfg.getInt("points", 6));
     const double max_rps = cfg.getDouble("max_rps", 200000.0);
+    const std::uint32_t servers =
+        static_cast<std::uint32_t>(cfg.getInt("servers", 2));
+    cfg.rejectUnread();
 
     std::printf("machine=%s dist=%s sweep to %.0f RPS/server\n",
                 mp.name.c_str(), synthDistName(sp.dist), max_rps);
@@ -61,8 +64,7 @@ main(int argc, char **argv)
             max_rps * static_cast<double>(i) / points;
         ExperimentConfig exp;
         exp.machine = mp;
-        exp.cluster.numServers = static_cast<std::uint32_t>(
-            cfg.getInt("servers", 2));
+        exp.cluster.numServers = servers;
         exp.rpsPerServer = rps;
         exp.arrivals = ArrivalKind::Bursty;
         exp.measure = fromMs(200.0);

@@ -10,7 +10,6 @@
 #include "obs/attrib.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 #include "validate/invariants.hh"
 
 namespace umany
@@ -313,56 +312,12 @@ Machine::installInstance(ServiceId service, VillageId village)
         villages_[village].rq->registerService(service);
 }
 
-void
-Machine::enableSharding(std::uint32_t lanes)
-{
-    sharded_ = true;
-    laneSeq_.assign(lanes, 1);
-    laneCompleted_.assign(lanes, 0);
-    laneRejected_.assign(lanes, 0);
-    laneShed_.assign(lanes, 0);
-    laneRng_.clear();
-    laneRng_.reserve(lanes);
-    const std::uint64_t base = streamSeed(
-        streamSeed(seed_, rngstream::coherence), rngstream::lane);
-    for (std::uint32_t l = 0; l < lanes; ++l)
-        laneRng_.emplace_back(streamSeed(base, l));
-    serviceMap_.enableSharding(lanes);
-    std::vector<std::uint16_t> owners;
-    topo_->linkOwners(net_->endpointPartitions(), extPart_, owners);
-    net_->enableSharding(lanes, std::move(owners));
-}
-
-std::uint32_t
-Machine::curLane() const
-{
-    return ShardRuntime::currentLaneOr(
-        static_cast<std::uint32_t>(laneSeq_.size()));
-}
-
-std::uint64_t
-Machine::nextSeqFor()
-{
-    if (!sharded_)
-        return nextSeq_++;
-    const std::uint32_t l = curLane();
-    return (static_cast<std::uint64_t>(l + 1) << 40) |
-           laneSeq_[l]++;
-}
-
-VillageId
-Machine::pickInstance(ServiceId service)
-{
-    return sharded_ ? serviceMap_.pickLane(service, curLane())
-                    : serviceMap_.pick(service);
-}
-
 VillageId
 Machine::pickDispatch(ServiceId service, Tick &probe_delay)
 {
     probe_delay = 0;
     if (nicPolicy_ == nullptr)
-        return pickInstance(service);
+        return serviceMap_.pick(service);
     // The probe reads total entry occupancy (running + blocked +
     // ready, plus NIC overflow), not just the ready backlog: at
     // moderate load ready counts tie at zero almost everywhere and
@@ -413,33 +368,6 @@ ReadyList::KeyFn
 Machine::laxityKey() const
 {
     return [this](const ServiceRequest &r) { return laxityOf(r); };
-}
-
-std::uint64_t
-Machine::completedRequests() const
-{
-    std::uint64_t total = completed_;
-    for (const std::uint64_t n : laneCompleted_)
-        total += n;
-    return total;
-}
-
-std::uint64_t
-Machine::rejectedRequests() const
-{
-    std::uint64_t total = rejected_;
-    for (const std::uint64_t n : laneRejected_)
-        total += n;
-    return total;
-}
-
-std::uint64_t
-Machine::shedRequests() const
-{
-    std::uint64_t total = shedNoPath_;
-    for (const std::uint64_t n : laneShed_)
-        total += n;
-    return total;
 }
 
 void
@@ -576,14 +504,8 @@ Machine::localCall(ServiceRequest *child, VillageId from_village)
 void
 Machine::shedRequest(ServiceRequest *req, Tick ready_at)
 {
-    if (sharded_) {
-        const std::uint32_t l = curLane();
-        ++laneRejected_[l];
-        ++laneShed_[l];
-    } else {
-        ++rejected_;
-        ++shedNoPath_;
-    }
+    ++rejected_;
+    ++shedNoPath_;
     req->rejected = true;
     req->state = ReqState::Rejected;
     req->finishedAt = curTick();
@@ -634,7 +556,7 @@ Machine::villageIngress(ServiceRequest *req, VillageId v)
     });
     req->pendingOverhead += vil.nic->rxCoreCycles();
     if (req->seq == 0)
-        req->seq = nextSeqFor();
+        req->seq = nextSeq_++;
     Tick t = curTick() + vil.nic->rxLatency();
     // Software machines route every arriving request through the
     // centralized dispatcher before it can be queued (§4.4).
@@ -823,8 +745,7 @@ void
 Machine::startRun(CoreId core, ServiceRequest *req, Tick ready_at,
                   bool stolen)
 {
-    // Policy accounting (serial-mode only: non-rr policies never
-    // shard, so these counters see no concurrent writers).
+    // Policy accounting.
     if (dkind_ != DispatchKind::RoundRobin && !stolen)
         ++directDispatches_;
     cores_[core].beginWork(req, curTick());
@@ -948,9 +869,8 @@ Machine::runSegment(CoreId core, ServiceRequest *req)
         if (bytes >= 64) {
             EndpointId dst;
             if (coherence_.scope() == CoherenceScope::Global) {
-                Rng &r = sharded_ ? laneRng_[curLane()] : rng_;
                 VillageId dv = static_cast<VillageId>(
-                    r.below(villages_.size()));
+                    rng_.below(villages_.size()));
                 dst = villageEndpoint(dv);
             } else {
                 const Cluster &cl =
@@ -1121,10 +1041,7 @@ Machine::finishRequest(ServiceRequest *req, VillageId v)
     req->state = ReqState::Finished;
     req->finishedAt = curTick();
     UMANY_INVARIANT(InvariantChecker::active()->onComplete(*req));
-    if (sharded_)
-        ++laneCompleted_[curLane()];
-    else
-        ++completed_;
+    ++completed_;
     villages_[v].nic->countTx();
 
     if (p_.sched == MachineParams::Sched::HwRq) {
@@ -1247,16 +1164,10 @@ void
 Machine::outboundRequest(ServiceRequest *req, VillageId from,
                          std::function<void()> on_exit)
 {
-    // The R-NIC counters belong to the shared (external) lane; when
-    // sharded, bump them at package egress — the delivery callback
-    // below runs in that lane — not here in the village's lane.
-    if (!sharded_)
-        rnic_->onSend();
+    rnic_->onSend();
     sendIcn(villageEndpoint(from), topo_->externalEndpoint(),
             req->reqBytes, MsgClass::Request,
             [this, req, on_exit = std::move(on_exit)]() {
-                if (sharded_)
-                    rnic_->onSend();
                 UMANY_ATTRIB(AttribRegistry::active()->chargeIcn(
                     *req, net_->lastDelivery(), curTick()));
                 Tick t = topNic_->egress(curTick(), req->reqBytes);
@@ -1292,10 +1203,7 @@ Machine::responseProcessed(ServiceRequest *parent)
 void
 Machine::rejectRequest(ServiceRequest *req)
 {
-    if (sharded_)
-        ++laneRejected_[curLane()];
-    else
-        ++rejected_;
+    ++rejected_;
     req->rejected = true;
     UMANY_TRACE(traceReqTransition(curTick(), *req,
                                    ReqState::Rejected,

@@ -36,8 +36,8 @@ perfMetricSpecs()
 {
     // Gated: kernel throughput and allocation behaviour (stable on
     // one host) plus the fixed full-stack run. Informational: load-
-    // dependent workload numbers and the parallel-scaling probe,
-    // which depend on runner load and core count.
+    // dependent workload numbers and the sweep-scaling probe, which
+    // depend on runner load and core count.
     static const std::vector<PerfMetricSpec> specs = {
         {"kernel.fifo_64k.events_per_sec",
          PerfDirection::HigherIsBetter, true, 0.0},
@@ -63,10 +63,6 @@ perfMetricSpecs()
          0.0},
         {"sweep.speedup", PerfDirection::HigherIsBetter, false,
          0.0},
-        {"shard_scaling.wall_ms_shards1",
-         PerfDirection::LowerIsBetter, false, 0.0},
-        {"shard_scaling.speedup_shards8",
-         PerfDirection::HigherIsBetter, false, 0.0},
     };
     return specs;
 }

@@ -95,98 +95,6 @@ SimProfiler::finalize()
 }
 
 void
-SimProfiler::mergeFrom(const SimProfiler &other)
-{
-    if (!finalized_ || !other.finalized_)
-        panic("SimProfiler::mergeFrom: finalize both sides first");
-
-    for (std::size_t s = 0; s < kNumEvSrcs; ++s) {
-        srcEvents_[s] += other.srcEvents_[s];
-        srcHostNs_[s] += other.srcHostNs_[s];
-    }
-    totalEvents_ += other.totalEvents_;
-    totalHostNs_ += other.totalHostNs_;
-    schedSeen_ += other.schedSeen_;
-    occupancy_.merge(other.occupancy_);
-    horizon_.merge(other.horizon_);
-
-    if (other.partEvents_.size() > partEvents_.size())
-        partEvents_.resize(other.partEvents_.size(), 0);
-    for (std::size_t p = 0; p < other.partEvents_.size(); ++p)
-        partEvents_[p] += other.partEvents_[p];
-    partNone_ += other.partNone_;
-
-    if (other.dim_ > 0) {
-        ensureDim(other.dim_);
-        for (std::uint32_t i = 0; i < other.dim_; ++i) {
-            for (std::uint32_t j = 0; j < other.dim_; ++j) {
-                const std::size_t to = i * dim_ + j;
-                const std::size_t from = i * other.dim_ + j;
-                sentMsgs_[to] += other.sentMsgs_[from];
-                sentBytes_[to] += other.sentBytes_[from];
-                deliveredMsgs_[to] += other.deliveredMsgs_[from];
-                deliveredBytes_[to] += other.deliveredBytes_[from];
-            }
-        }
-    }
-    totalSent_ += other.totalSent_;
-    totalDelivered_ += other.totalDelivered_;
-
-    // Timelines are cumulative per profiler; to aggregate, convert
-    // both to per-point deltas, merge-sort on simulated time, and
-    // re-accumulate into one cumulative series.
-    struct Delta
-    {
-        Tick simNow;
-        std::uint64_t events;
-        double hostNs;
-    };
-    auto toDeltas = [](const std::vector<TimelinePoint> &series) {
-        std::vector<Delta> out;
-        out.reserve(series.size());
-        std::uint64_t ev = 0;
-        double ns = 0.0;
-        for (const TimelinePoint &p : series) {
-            out.push_back(
-                Delta{p.simNow, p.events - ev, p.hostNs - ns});
-            ev = p.events;
-            ns = p.hostNs;
-        }
-        return out;
-    };
-    const std::vector<Delta> a = toDeltas(timeline_);
-    const std::vector<Delta> b = toDeltas(other.timeline_);
-    std::vector<Delta> merged;
-    merged.reserve(a.size() + b.size());
-    std::size_t ia = 0;
-    std::size_t ib = 0;
-    while (ia < a.size() || ib < b.size()) {
-        const bool take_a =
-            ib >= b.size() ||
-            (ia < a.size() && a[ia].simNow <= b[ib].simNow);
-        merged.push_back(take_a ? a[ia++] : b[ib++]);
-    }
-    timeline_.clear();
-    timeline_.reserve(merged.size());
-    std::uint64_t ev = 0;
-    double ns = 0.0;
-    for (const Delta &d : merged) {
-        ev += d.events;
-        ns += d.hostNs;
-        timeline_.push_back(TimelinePoint{d.simNow, ev, ns});
-    }
-    while (timeline_.size() >= maxTimelinePoints) {
-        std::size_t w = 0;
-        for (std::size_t r = 0; r < timeline_.size(); r += 2)
-            timeline_[w++] = timeline_[r];
-        timeline_.resize(w);
-        timelineStride_ *= 2;
-    }
-    lastNow_ = std::max(lastNow_, other.lastNow_);
-    flushes_ += other.flushes_;
-}
-
-void
 SimProfiler::setPartitionInfo(std::uint32_t clusters, Tick lookahead)
 {
     clusters_ = clusters;

@@ -16,8 +16,8 @@
  * On top of the kernel view sits a partitionability analyzer fed at
  * the NoC boundary: per-cluster event counts, an NxN inter-cluster
  * message/byte traffic matrix, and the minimum cross-cluster ICN
- * latency — the lookahead bound a conservative parallel DES sharded
- * per cluster would synchronize on. Results are emitted as a
+ * latency (the soonest one cluster's event can affect another's
+ * state). Results are emitted as a
  * versioned JSON report (`umany.sim_profile.v1`) and a human-
  * readable table; see EXPERIMENTS.md for the schema.
  *
@@ -138,20 +138,9 @@ class SimProfiler
     void finalize();
 
     /**
-     * Fold another (finalized) profiler's counters, histograms,
-     * traffic matrices, and timeline into this one. Used by the
-     * parallel-DES runtime: each lane records into its own profiler
-     * (no atomics on the hot path) and the driver merges them after
-     * detach. Timelines are delta-merged on simulated time and
-     * re-accumulated, so the merged events-vs-time series is a
-     * cluster-wide aggregate rather than one lane's view.
-     */
-    void mergeFrom(const SimProfiler &other);
-
-    /**
      * Partitionability context, set by the driver before emitting
      * the report: the machines' ICN cluster count and the minimum
-     * cross-cluster latency (conservative-DES lookahead bound).
+     * cross-cluster latency.
      */
     void setPartitionInfo(std::uint32_t clusters, Tick lookahead);
 

@@ -323,11 +323,6 @@ runRackExperiment(const ServiceCatalog &catalog,
                   StatsDump *stats_out, AttribResult *attrib_out)
 {
     const ExperimentConfig &base = cfg.base;
-    if (base.shards > 1) {
-        warn("--shards=%u unavailable at rack scale (the LB "
-             "serializes); running serial",
-             static_cast<unsigned>(base.shards));
-    }
 
     // Tracing is scoped to the run, as in runExperiment: the sink
     // installs before the rack is built so every lifecycle event

@@ -27,10 +27,8 @@ struct RackExperimentConfig
      * offered load (rpsPerServer applies per server per package),
      * warmup/measure/drain windows, seed, QoS thresholds, faults
      * (FaultKind::PackageDown/Up target packages; everything else
-     * forwards to every package), and observability. Parallel-DES
-     * sharding is unavailable at rack scale (the LB serializes);
-     * shards > 1 warns and runs serial. Tracing namespaces each
-     * package's pids (pkgN.serverM) and adds LB/fabric tracks;
+     * forwards to every package), and observability. Tracing
+     * namespaces each package's pids (pkgN.serverM) and adds LB/fabric tracks;
      * sampling uses the rack-scale sampler (rack/rack_sampler.hh)
      * when packages > 1.
      */

@@ -62,8 +62,9 @@ RackSim::RackSim(EventQueue &eq, const ServiceCatalog &catalog,
                                  rngstream::package + pkg);
         }
         if (racked) {
-            // Below the parallel-DES lane bits (48); the rack layer
-            // is serial-only so they never combine anyway.
+            // Each package numbers its requests from its own 2^44
+            // block, so ids stay unique (and stable in traces) across
+            // the rack.
             cp.idBase = static_cast<RequestId>(pkg) << 44;
             // Disjoint trace pid block per package; the Chrome
             // exporter names pid p*stride+s "pkgP.serverS".

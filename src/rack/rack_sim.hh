@@ -20,9 +20,6 @@
  * With one package the rack layer is inert: submits forward
  * synchronously, no context is allocated, no hop is charged, and
  * every result is byte-identical to a bare ClusterSim run.
- *
- * Serial-only: the rack layer routes every root through shared LB
- * state, so it never enables parallel-DES sharding.
  */
 
 #ifndef UMANY_RACK_RACK_SIM_HH

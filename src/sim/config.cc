@@ -46,12 +46,29 @@ Config::set(const std::string &key, const std::string &value)
 bool
 Config::has(const std::string &key) const
 {
+    read_.insert(key);
     return values_.count(key) != 0;
+}
+
+void
+Config::rejectUnread() const
+{
+    std::string unread;
+    for (const auto &kv : values_) {
+        if (read_.count(kv.first) != 0)
+            continue;
+        unread += unread.empty() ? "'" : ", '";
+        unread += kv.first + "'";
+    }
+    if (!unread.empty())
+        fatal("unknown config key(s) %s: this program does not read "
+              "them", unread.c_str());
 }
 
 const std::string &
 Config::rawOrFatal(const std::string &key) const
 {
+    read_.insert(key);
     auto it = values_.find(key);
     if (it == values_.end())
         fatal("missing required config key '%s'", key.c_str());
@@ -67,6 +84,7 @@ Config::getString(const std::string &key) const
 std::string
 Config::getString(const std::string &key, const std::string &def) const
 {
+    read_.insert(key);
     auto it = values_.find(key);
     return it == values_.end() ? def : it->second;
 }

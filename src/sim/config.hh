@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 namespace umany
@@ -19,6 +20,12 @@ namespace umany
  *
  * Unknown keys requested with a default are not an error; requesting
  * a missing key without a default is fatal (configuration error).
+ *
+ * Every lookup (has() or a get) marks its key as read, so a program
+ * can reject keys it never looked at — typos such as "srevers=3"
+ * and retired options — with rejectUnread() once it has read all
+ * of its configuration. Because lookups record into that set, one
+ * Config must not be read from several threads at once.
  */
 class Config
 {
@@ -47,8 +54,17 @@ class Config
     bool getBool(const std::string &key) const;
     bool getBool(const std::string &key, bool def) const;
 
+    /**
+     * Fatal when any set key has never been looked up; the message
+     * names every such key. Call after the last read and before the
+     * first simulation starts.
+     */
+    void rejectUnread() const;
+
   private:
     std::map<std::string, std::string> values_;
+    /** Keys looked up so far (lookups are const, hence mutable). */
+    mutable std::set<std::string> read_;
 
     const std::string &rawOrFatal(const std::string &key) const;
 };

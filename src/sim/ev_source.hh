@@ -8,8 +8,8 @@
  * Tags are inert 4-byte payloads riding in the heap node's existing
  * struct padding: when no profiler is attached they cost nothing,
  * and with one attached they let the kernel account host time and
- * event counts per subsystem and per cluster — the measurements the
- * conservative-parallel-DES sharding work is designed from.
+ * event counts per subsystem and per cluster (the --sim-profile
+ * report's per-source ledger and partition buckets).
  */
 
 #ifndef UMANY_SIM_EV_SOURCE_HH
@@ -56,7 +56,7 @@ constexpr std::uint16_t evPartNone = 0xffff;
 /**
  * The tag attached to one scheduled event: the subsystem it belongs
  * to and, when known at the call site, the ICN cluster (partition)
- * it would execute in under a per-cluster sharding of the kernel.
+ * whose profiler bucket it is counted in.
  */
 struct EvTag
 {

@@ -35,9 +35,9 @@ struct LoadGenParams
     Tick stop = fromSec(1.0);      //!< No arrivals at/after this tick.
     std::uint64_t seed = 1;
     /**
-     * Partition tag for arrival events (the shared/external lane id
-     * in parallel-DES mode; see sim/ev_source.hh). Arrivals enter at
-     * the package boundary, not inside any ICN cluster.
+     * Partition tag for arrival events: the self-profiler's shared
+     * bucket past the last cluster (see sim/ev_source.hh). Arrivals
+     * enter at the package boundary, not inside any ICN cluster.
      */
     std::uint16_t partition = evPartNone;
     /** Burstiness shape for ArrivalKind::Bursty: per-state rate

@@ -4,7 +4,7 @@
  * sum invariant, critical-path extraction over a hand-built span
  * tree, agreement between the ledger and the §3.3 analytic
  * decomposition, bottleneck localisation with the synthetic fan-out
- * workload, the tail profiler's sharded merge, the OpenMetrics
+ * workload, the tail profiler's merge, the OpenMetrics
  * exporter, the trace-track filter, and parent->child flow events.
  */
 

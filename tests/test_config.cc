@@ -87,6 +87,33 @@ TEST(ConfigDeathTest, BadArgFormatIsFatal)
                  "key=value");
 }
 
+TEST(ConfigDeathTest, UnreadKeyIsFatal)
+{
+    // A typo and the retired --shards flag: nothing reads either,
+    // so both must fail instead of running with defaults.
+    Config c;
+    const char *argv[] = {"prog", "servers=2", "srevers=3",
+                          "--shards=4"};
+    c.parseArgs(4, const_cast<char **>(argv));
+    EXPECT_EQ(c.getInt("servers", 4), 2);
+    EXPECT_EXIT(c.rejectUnread(), ::testing::ExitedWithCode(1),
+                "'shards', 'srevers'");
+}
+
+TEST(Config, FullyReadConfigPassesTheUnreadCheck)
+{
+    Config c;
+    const char *argv[] = {"prog", "rps=5000", "--trace-out=t.json",
+                          "--run-summary"};
+    c.parseArgs(4, const_cast<char **>(argv));
+    EXPECT_EQ(c.getInt("rps", 1), 5000);
+    EXPECT_EQ(c.getString("trace_out", ""), "t.json");
+    EXPECT_TRUE(c.has("run_summary"));
+    // Keys looked up but absent are fine too.
+    EXPECT_EQ(c.getInt("seed", 7), 7);
+    c.rejectUnread(); // Returns: nothing was left unread.
+}
+
 TEST(Logging, StrprintfFormats)
 {
     EXPECT_EQ(strprintf("%d-%s", 42, "x"), "42-x");

@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 
+#include "arch/cluster_sim.hh"
 #include "arch/presets.hh"
 #include "driver/experiment.hh"
 #include "obs/json.hh"
@@ -378,6 +379,46 @@ TEST(SimProfilerIntegration, OverheadStaysSmall)
     EXPECT_LT(with_prof, off * 1.25)
         << "sim-profile overhead " << (with_prof / off - 1.0) * 100.0
         << "%";
+}
+
+TEST(SimProfilerTags, UnknownPartitionFractionIsNearZero)
+{
+    // Every schedule site is tagged with a partition, so a fig14-class
+    // run must leave (almost) nothing in the unpartitioned bucket:
+    // untagged events would drop out of the --sim-profile
+    // partitionability report's per-cluster counts.
+    const ServiceCatalog cat = buildSocialNetwork();
+    EventQueue eq;
+    SimProfiler prof;
+    eq.setProfiler(&prof);
+    ClusterSimParams cp;
+    cp.numServers = 2;
+    cp.seed = 42;
+    ClusterSim sim(eq, cat, uManycoreParams(), cp);
+
+    LoadGenParams lp;
+    lp.rps = 10000.0;
+    lp.stop = fromMs(20.0);
+    lp.seed = 42;
+    lp.partition =
+        static_cast<std::uint16_t>(sim.machine(0).numClusters());
+    LoadGenerator gen(eq, cat, lp,
+                      [&sim](ServiceId ep) { sim.submitRoot(ep); });
+    gen.start();
+    sim.setRecording(false);
+    eq.schedule(fromMs(2.0), EvTag{EvSrc::Kernel, lp.partition},
+                [&sim]() { sim.setRecording(true); });
+    ASSERT_TRUE(eq.runUntil(fromSec(3.0)));
+    eq.setProfiler(nullptr);
+    prof.finalize();
+
+    ASSERT_GT(prof.totalEvents(), 0u);
+    const double frac =
+        static_cast<double>(prof.unpartitionedEvents()) /
+        static_cast<double>(prof.totalEvents());
+    EXPECT_LT(frac, 0.005) << prof.unpartitionedEvents() << " of "
+                           << prof.totalEvents()
+                           << " events carried no partition";
 }
 
 } // namespace
