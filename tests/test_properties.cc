@@ -36,7 +36,10 @@ presetByName(const std::string &name)
     return uManycoreParams();
 }
 
-using Case = std::tuple<const char *, std::uint64_t>;
+// std::string, not const char *: gtest prints a char pointer inside a
+// tuple with its address, which would make the test names differ on
+// every run.
+using Case = std::tuple<std::string, std::uint64_t>;
 
 class ConservationTest : public ::testing::TestWithParam<Case>
 {
@@ -111,8 +114,9 @@ TEST_P(ConservationTest, StatsDumpIsConsistent)
 
 INSTANTIATE_TEST_SUITE_P(
     PresetsAndSeeds, ConservationTest,
-    ::testing::Combine(::testing::Values("um", "so", "sc", "villages",
-                                         "hwsched"),
+    ::testing::Combine(::testing::Values<std::string>("um", "so", "sc",
+                                                      "villages",
+                                                      "hwsched"),
                        ::testing::Values<std::uint64_t>(1, 17, 99)));
 
 class LoadMonotonicityTest
